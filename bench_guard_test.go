@@ -25,6 +25,7 @@ package bgpintent
 //	BGPINTENT_BENCH_GUARD=1 go test -run TestBenchGuard -v .
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -86,7 +87,7 @@ func TestBenchGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := LoadMRTCorpusOptions(ribs, nil, "", LoadOptions{Parallelism: 1})
+	warm, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestBenchGuard(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadMRTCorpusOptions(ribs, nil, "", LoadOptions{Parallelism: 1}); err != nil {
+			if _, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,7 +124,7 @@ func TestBenchGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixedWarm, _, err := LoadMRTCorpusOptions(mixedRibs, nil, "", LoadOptions{Parallelism: 1})
+	mixedWarm, _, err := LoadMRT(context.Background(), Sources{RIBs: mixedRibs}, LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestBenchGuard(t *testing.T) {
 	mixedRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadMRTCorpusOptions(mixedRibs, nil, "", LoadOptions{Parallelism: 1}); err != nil {
+			if _, _, err := LoadMRT(context.Background(), Sources{RIBs: mixedRibs}, LoadOptions{Parallelism: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -170,7 +171,7 @@ func TestBenchGuard(t *testing.T) {
 		return best
 	}
 	classify := func(workers int) int64 {
-		return bestOf3(func() { warm.Classify(Params{Parallelism: workers}) })
+		return bestOf3(func() { mustClassify(t, warm, Params{Parallelism: workers}) })
 	}
 	seq := classify(1)
 	par := classify(4)
@@ -189,7 +190,7 @@ func TestBenchGuard(t *testing.T) {
 	}
 	load := func(workers int) int64 {
 		return bestOf3(func() {
-			if _, _, err := LoadMRTCorpusOptions(ribs, nil, "", LoadOptions{Parallelism: workers}); err != nil {
+			if _, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: workers}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -14,7 +14,8 @@
 //
 //	c, err := bgpintent.NewSyntheticCorpus(bgpintent.CorpusOptions{})
 //	if err != nil { ... }
-//	res := c.Classify(bgpintent.DefaultParams())
+//	res, err := c.ClassifyContext(context.Background(), bgpintent.DefaultParams())
+//	if err != nil { ... }
 //	cat := res.Category(bgpintent.Comm(1299, 2569)) // Action
 //
 // Real MRT archives (TABLE_DUMP_V2 RIBs and BGP4MP updates) load with
@@ -63,15 +64,11 @@ type (
 // spans emitted concurrently by ingestion workers; the rest are
 // sequential top-level stages.
 const (
-	StageOpen     = obs.StageOpen
-	StageDecode   = obs.StageDecode
-	StageFrame    = obs.StageFrame
-	StageStoreAdd = obs.StageStoreAdd
-	StageStitch   = obs.StageStitch
-	// StageShardMerge is the pre-stitch name of the shard-collapse
-	// phase; loads no longer emit it. Kept so existing trace consumers
-	// keep building.
-	StageShardMerge    = obs.StageShardMerge
+	StageOpen          = obs.StageOpen
+	StageDecode        = obs.StageDecode
+	StageFrame         = obs.StageFrame
+	StageStoreAdd      = obs.StageStoreAdd
+	StageStitch        = obs.StageStitch
 	StageObserve       = obs.StageObserve
 	StageCluster       = obs.StageCluster
 	StageRatio         = obs.StageRatio
@@ -415,27 +412,6 @@ func loadStats(ist *ingest.Stats) LoadStats {
 	}
 }
 
-// LoadMRTCorpus reads TABLE_DUMP_V2 RIB files and BGP4MP updates files
-// plus an optional as2org file and builds the tuple corpus with the
-// default (lenient) options.
-//
-// Deprecated: use LoadMRT, which adds cancellation, observability, and
-// load statistics.
-func LoadMRTCorpus(ribPaths, updatePaths []string, orgPath string) (*Corpus, error) {
-	c, _, err := LoadMRT(context.Background(),
-		Sources{RIBs: ribPaths, Updates: updatePaths, OrgPath: orgPath}, LoadOptions{})
-	return c, err
-}
-
-// LoadMRTCorpusOptions is LoadMRTCorpus with explicit fault-tolerance
-// options, also returning ingestion statistics.
-//
-// Deprecated: use LoadMRT, which takes the same options plus a context.
-func LoadMRTCorpusOptions(ribPaths, updatePaths []string, orgPath string, opts LoadOptions) (*Corpus, LoadStats, error) {
-	return LoadMRT(context.Background(),
-		Sources{RIBs: ribPaths, Updates: updatePaths, OrgPath: orgPath}, opts)
-}
-
 // LoadMRT reads the named TABLE_DUMP_V2 RIB and BGP4MP updates files
 // (the RouteViews/RIS archive formats; .gz and .bz2 are decompressed
 // transparently) plus an optional as2org file, and builds the tuple
@@ -560,19 +536,6 @@ func (c *Corpus) Communities() []Community {
 
 // VantagePoints returns the distinct vantage-point ASNs in the corpus.
 func (c *Corpus) VantagePoints() []uint32 { return c.store.VPSet() }
-
-// Classify runs the paper's inference pipeline over the corpus.
-//
-// Deprecated: use ClassifyContext, which adds cancellation, parameter
-// validation and observability. Classify panics on parameters that
-// ClassifyContext would reject (no in-tree caller passes any).
-func (c *Corpus) Classify(p Params) *Result {
-	r, err := c.ClassifyContext(context.Background(), p)
-	if err != nil {
-		panic(err) // Background never cancels, so this is Validate
-	}
-	return r
-}
 
 // ClassifyContext runs the paper's inference pipeline over the corpus.
 // Invalid parameters are rejected up front (see Params.Validate);

@@ -3,6 +3,7 @@ package bgpintent
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,17 @@ import (
 
 	"bgpintent/internal/corpus"
 )
+
+// mustClassify runs ClassifyContext, failing the test on an error (the
+// params tests pass are valid, and the background context never ends).
+func mustClassify(tb testing.TB, c *Corpus, p Params) *Result {
+	tb.Helper()
+	res, err := c.ClassifyContext(context.Background(), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 func smallCorpus(t *testing.T) *Corpus {
 	t.Helper()
@@ -37,7 +49,7 @@ func TestSyntheticClassify(t *testing.T) {
 	if c.Tuples() == 0 || c.Paths() == 0 {
 		t.Fatal("empty corpus")
 	}
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	action, info := res.Counts()
 	if action == 0 || info == 0 {
 		t.Fatalf("counts = %d/%d", action, info)
@@ -82,7 +94,7 @@ func TestSyntheticClassify(t *testing.T) {
 
 func TestResultTSV(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	var buf bytes.Buffer
 	if err := res.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
@@ -115,7 +127,7 @@ func TestResultTSV(t *testing.T) {
 
 func TestExcludedReasons(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	foundPrivate, foundNeverOnPath := false, false
 	for _, comm := range c.Communities() {
 		if reason, ok := res.Excluded(comm); ok {
@@ -170,7 +182,7 @@ func TestMRTCorpusMatchesSynthetic(t *testing.T) {
 	}
 	f.Close()
 
-	loaded, err := LoadMRTCorpus(ribs, nil, orgPath)
+	loaded, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs, OrgPath: orgPath}, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestMRTCorpusMatchesSynthetic(t *testing.T) {
 	if loaded.Paths() != syn.Store.PathCount() {
 		t.Errorf("loaded %d paths, synthetic store has %d", loaded.Paths(), syn.Store.PathCount())
 	}
-	res := loaded.Classify(DefaultParams())
+	res := mustClassify(t, loaded, DefaultParams())
 	action, info := res.Counts()
 	if action == 0 || info == 0 {
 		t.Fatalf("MRT-loaded classification degenerate: %d/%d", action, info)
@@ -195,7 +207,7 @@ func TestMRTCorpusMatchesSynthetic(t *testing.T) {
 }
 
 func TestLoadMRTCorpusErrors(t *testing.T) {
-	if _, err := LoadMRTCorpus([]string{"/nonexistent.mrt"}, nil, ""); err == nil {
+	if _, _, err := LoadMRT(context.Background(), Sources{RIBs: []string{"/nonexistent.mrt"}}, LoadOptions{}); err == nil {
 		t.Error("missing file: want error")
 	}
 	dir := t.TempDir()
@@ -203,7 +215,7 @@ func TestLoadMRTCorpusErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("this is not mrt data at all.."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMRTCorpus([]string{bad}, nil, ""); err == nil {
+	if _, _, err := LoadMRT(context.Background(), Sources{RIBs: []string{bad}}, LoadOptions{}); err == nil {
 		t.Error("garbage file: want error")
 	}
 }
@@ -233,7 +245,7 @@ func TestLocationFilterFlow(t *testing.T) {
 	if len(locs) == 0 {
 		t.Fatal("no location inferences")
 	}
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	kept, dropped := res.FilterActions(locs)
 	if len(kept)+len(dropped) != len(locs) {
 		t.Error("filter lost inferences")
@@ -300,14 +312,14 @@ func TestLoadMRTUpdatesFiles(t *testing.T) {
 		f.Close()
 		updates = append(updates, p)
 	}
-	loaded, err := LoadMRTCorpus(nil, updates, "")
+	loaded, _, err := LoadMRT(context.Background(), Sources{Updates: updates}, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Tuples() == 0 {
 		t.Fatal("no tuples from updates files")
 	}
-	res2 := loaded.Classify(DefaultParams())
+	res2 := mustClassify(t, loaded, DefaultParams())
 	if a, i := res2.Counts(); a+i == 0 {
 		t.Fatal("nothing classified from updates corpus")
 	}
@@ -315,7 +327,7 @@ func TestLoadMRTUpdatesFiles(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	for _, lc := range res.Labeled() {
 		out := c.Describe(lc.Community, res)
 		if !strings.Contains(out, lc.Community.String()) || !strings.Contains(out, "truth=") {
@@ -338,13 +350,13 @@ func TestDescribe(t *testing.T) {
 func TestClassifyCustomParams(t *testing.T) {
 	c := smallCorpus(t)
 	// Degenerate parameters must still produce a coherent result.
-	res := c.Classify(Params{MinGap: 0, RatioThreshold: 1})
+	res := mustClassify(t, c, Params{MinGap: 0, RatioThreshold: 1})
 	if a, i := res.Counts(); a+i == 0 {
 		t.Fatal("nothing classified with custom params")
 	}
 	// Zero params fall back to the paper defaults.
-	def := c.Classify(Params{})
-	ref := c.Classify(DefaultParams())
+	def := mustClassify(t, c, Params{})
+	ref := mustClassify(t, c, DefaultParams())
 	a1, i1 := def.Counts()
 	a2, i2 := ref.Counts()
 	if a1 != a2 || i1 != i2 {
@@ -354,7 +366,7 @@ func TestClassifyCustomParams(t *testing.T) {
 
 func TestGroundTruthSubKnownValues(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	seen := map[string]bool{}
 	for _, lc := range res.Labeled() {
 		sub, err := c.GroundTruthSub(lc.Community)
@@ -405,11 +417,11 @@ func TestLoadGzippedMRT(t *testing.T) {
 	zw.Close()
 	gf.Close()
 
-	a, err := LoadMRTCorpus([]string{plain}, nil, "")
+	a, _, err := LoadMRT(context.Background(), Sources{RIBs: []string{plain}}, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadMRTCorpus([]string{gzPath}, nil, "")
+	b, _, err := LoadMRT(context.Background(), Sources{RIBs: []string{gzPath}}, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +433,14 @@ func TestLoadGzippedMRT(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMRTCorpus([]string{bad}, nil, ""); err == nil {
+	if _, _, err := LoadMRT(context.Background(), Sources{RIBs: []string{bad}}, LoadOptions{}); err == nil {
 		t.Error("corrupt gzip accepted")
 	}
 }
 
 func TestResultClusters(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	clusters := res.Clusters()
 	if len(clusters) == 0 {
 		t.Fatal("no clusters")
@@ -454,7 +466,7 @@ func TestResultClusters(t *testing.T) {
 
 func TestRefineInformation(t *testing.T) {
 	c := smallCorpus(t)
-	res := c.Classify(DefaultParams())
+	res := mustClassify(t, c, DefaultParams())
 	refined, err := c.RefineInformation(res)
 	if err != nil {
 		t.Fatal(err)

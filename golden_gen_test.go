@@ -17,7 +17,7 @@ func TestGenGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Classify(Params{Parallelism: 1})
+	res := mustClassify(t, c, Params{Parallelism: 1})
 	var tsv bytes.Buffer
 	if err := res.WriteTSV(&tsv); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestGenClassicGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Classify(Params{Parallelism: 1})
+	res := mustClassify(t, c, Params{Parallelism: 1})
 	var tsv bytes.Buffer
 	if err := res.WriteTSV(&tsv); err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestGoldenClassicEquivalence(t *testing.T) {
 			if n := c.LargeCommunities(); n != 0 {
 				t.Fatalf("classic corpus observed %d large communities", n)
 			}
-			res := c.Classify(Params{Parallelism: workers})
+			res := mustClassify(t, c, Params{Parallelism: workers})
 			info := SnapshotInfo{Created: time.Unix(1714521600, 0).UTC(), Source: "golden",
 				Tuples: c.Tuples(), Paths: c.Paths(), VantagePoints: len(c.VantagePoints()),
 				Communities: len(c.Communities()), LargeCommunities: c.LargeCommunities()}
@@ -87,7 +87,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := c.Classify(Params{Parallelism: workers})
+			res := mustClassify(t, c, Params{Parallelism: workers})
 			var tsv bytes.Buffer
 			if err := res.WriteTSV(&tsv); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"bgpintent/internal/bgp"
@@ -40,6 +41,32 @@ func TestAddViewDuplicateHitZeroAlloc(t *testing.T) {
 		ts.AddView(65269, path, messy)
 	}); avg != 0 {
 		t.Errorf("AddView with messy comms allocates %.1f per run, want 0", avg)
+	}
+}
+
+// TestTupleStoreFootprint guards the small end of the shared storage:
+// a plain store holding one view must not pay for full-size arena
+// chunks (three of them would be about 20 MiB). The arenas start small
+// and double, so one view costs a few intern-table slots and chunks.
+func TestTupleStoreFootprint(t *testing.T) {
+	const runs = 20
+	path := []uint32{65269, 7018, 1299, 64496}
+	comms := bgp.Communities{bgp.NewCommunity(1299, 2569), bgp.NewCommunity(1299, 100)}
+	larges := bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}}
+	stores := make([]*TupleStore, runs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range stores {
+		stores[i] = NewTupleStore()
+		stores[i].AddViewLarge(65269, path, comms, larges)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(stores)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("a store holding one view allocates %d bytes, want < %d", per, 64<<10)
+	} else {
+		t.Logf("a store holding one view allocates %d bytes", per)
 	}
 }
 

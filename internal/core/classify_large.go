@@ -212,10 +212,7 @@ func (inf *Inferences) buildLargeIndex(excludedStats map[bgp.LargeCommunity]Larg
 // carries large communities, so classic-only loads skip the large
 // observation pass entirely.
 func (ts *TupleStore) hasLargeTuples() bool {
-	if ts.shared != nil {
-		return ts.shared.larges.table.Load() != nil
-	}
-	return len(ts.largeArena) > 0
+	return ts.shared.larges.table.Load() != nil
 }
 
 // largePair is one (large community, path ID) observation; the large

@@ -3,7 +3,8 @@ package core
 import "bgpintent/internal/bgp"
 
 // FNV-1a constants, shared by the path-key hash (which routes paths to
-// shards) and the community-list hash (which feeds tupleKey.commsHash).
+// shards) and the community-list hashes (which the list interns probe
+// with; tupleKey carries the exact intern refs, not these hashes).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
@@ -32,8 +33,10 @@ func fnvU32(h uint64, v uint32) uint64 {
 	return h
 }
 
-// hashComms is FNV-1a over canonical communities.
-func hashComms(comms bgp.Communities) uint64 {
+// commHash is FNV-1a over canonical communities.
+type commHash struct{}
+
+func (commHash) sum(comms []bgp.Community) uint64 {
 	h := fnvOffset64
 	for _, c := range comms {
 		h = fnvU32(h, uint32(c))
@@ -41,13 +44,10 @@ func hashComms(comms bgp.Communities) uint64 {
 	return h
 }
 
-// hashLarges is FNV-1a over canonical large communities. The empty
-// list hashes to 0, matching the zero intern ref, so classic-only
-// tuples carry a zero large key either way.
-func hashLarges(ls bgp.LargeCommunities) uint64 {
-	if len(ls) == 0 {
-		return 0
-	}
+// largeHash is FNV-1a over canonical large communities.
+type largeHash struct{}
+
+func (largeHash) sum(ls []bgp.LargeCommunity) uint64 {
 	h := fnvOffset64
 	for _, lc := range ls {
 		h = fnvU32(h, lc.GlobalAdmin)

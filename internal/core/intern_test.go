@@ -64,7 +64,7 @@ func TestCommInternConcurrent(t *testing.T) {
 	}
 	for i := 0; i < lists; i++ {
 		off, n := unpackRef(refs[0][i])
-		if got, want := ci.view(off, n), mk(i); !commsEqual(got, want) {
+		if got, want := ci.view(off, n), mk(i); !slices.Equal(got, want) {
 			t.Fatalf("list %d: view %v, want %v", i, got, want)
 		}
 	}

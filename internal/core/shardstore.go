@@ -21,12 +21,12 @@ import (
 // deduplication is global deduplication: no cross-shard reconciliation
 // is needed at stitch time.
 //
-// All shards run their TupleStores in shared-storage mode against one
-// storeShared: community lists intern into one lock-free global table
-// and path ASN sequences land in one globally addressed arena, so
-// every span a shard writes is already valid in the stitched store and
-// Stitch moves only index-sized data (tuple records, path metas, VP
-// lists) — never community or ASN payloads.
+// All shards run their TupleStores against one storeShared: community
+// lists intern into lock-free global tables and path ASN sequences
+// land in one globally addressed arena, so every span a shard writes
+// is already valid in the stitched store and Stitch moves only
+// index-sized data (tuple records, path metas, VP lists) — never
+// community or ASN payloads.
 type ShardedTupleStore struct {
 	shards []tupleShard
 	mask   uint64
@@ -55,9 +55,7 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 		shared: &storeShared{},
 	}
 	for i := range s.shards {
-		ts := NewTupleStore()
-		ts.shared = s.shared
-		s.shards[i].ts = ts
+		s.shards[i].ts = newTupleStore(s.shared)
 	}
 	return s
 }
@@ -198,10 +196,10 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 			if c := strings.Compare(ts.pathKeys[ta.PathID], ts.pathKeys[tb.PathID]); c != 0 {
 				return c
 			}
-			if c := compareComms(ts.TupleComms(ta), ts.TupleComms(tb)); c != 0 {
+			if c := slices.Compare(ts.TupleComms(ta), ts.TupleComms(tb)); c != 0 {
 				return c
 			}
-			return compareLarges(ts.TupleLarges(ta), ts.TupleLarges(tb))
+			return slices.CompareFunc(ts.TupleLarges(ta), ts.TupleLarges(tb), bgp.LargeCommunity.Compare)
 		})
 		// Paths get their global IDs in ascending path-key order — the
 		// same first-appearance order the sorted tuple emission implies,
@@ -235,40 +233,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		}
 	})
 	return out
-}
-
-// Merge collapses the shards into one canonical TupleStore.
-//
-// Deprecated: Merge is the old name for the stitch phase; it now
-// delegates to Stitch with default (GOMAXPROCS) parallelism.
-func (s *ShardedTupleStore) Merge() *TupleStore {
-	return s.Stitch(0)
-}
-
-// compareComms orders canonical community lists lexicographically.
-func compareComms(a, b bgp.Communities) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
-// compareLarges orders canonical large-community lists
-// lexicographically by element Compare order.
-func compareLarges(a, b bgp.LargeCommunities) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
 }
 
 // splitmix64 is the splitmix64 finalizer, used to spread large-community

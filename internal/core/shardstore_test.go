@@ -15,11 +15,29 @@ type synthView struct {
 	path  []uint32
 	comms bgp.Communities
 	large bgp.LargeCommunities
+	// attach routes the larges into tuple identity via AddViewLarge;
+	// otherwise they are only noted (the empty-path statistics route).
+	attach bool
+}
+
+// addSynth feeds one generated view to a plain or sharded store.
+func addSynth(s interface {
+	AddViewLarge(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities)
+	AddView(vp uint32, path []uint32, comms bgp.Communities)
+	NoteLarge(bgp.LargeCommunities)
+}, v synthView) {
+	if v.attach {
+		s.AddViewLarge(v.vp, v.path, v.comms, v.large)
+		return
+	}
+	s.AddView(v.vp, v.path, v.comms)
+	s.NoteLarge(v.large)
 }
 
 // genViews builds a deterministic stream of views with heavy path and
 // tuple reuse, prepending, duplicate communities, and some large
-// communities — the shapes AddView has to canonicalize.
+// communities, half of them attached to their tuples — the shapes
+// AddView has to canonicalize.
 func genViews(seed int64, n int) []synthView {
 	rng := rand.New(rand.NewSource(seed))
 	views := make([]synthView, n)
@@ -45,6 +63,10 @@ func genViews(seed int64, n int) []synthView {
 		v := synthView{vp: uint32(1 + rng.Intn(30)), path: path, comms: comms}
 		if rng.Intn(10) == 0 {
 			v.large = bgp.LargeCommunities{{GlobalAdmin: uint32(rng.Intn(5)), LocalData1: 1, LocalData2: uint32(rng.Intn(3))}}
+			if rng.Intn(3) == 0 { // a second large, possibly unsorted or duplicate
+				v.large = append(v.large, bgp.LargeCommunity{GlobalAdmin: uint32(rng.Intn(5)), LocalData1: 1, LocalData2: uint32(rng.Intn(3))})
+			}
+			v.attach = i%2 == 0
 		}
 		views[i] = v
 	}
@@ -52,13 +74,13 @@ func genViews(seed int64, n int) []synthView {
 }
 
 // dumpStore renders a store's full logical content in canonical order:
-// one line per tuple with the path key, the communities and the VPs,
-// plus the large-community set.
+// one line per tuple with the path key, the communities, the large
+// communities and the VPs, plus the distinct-large set.
 func dumpStore(ts *TupleStore) []string {
 	lines := make([]string, 0, len(ts.tuples)+len(ts.large))
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		lines = append(lines, fmt.Sprintf("t %x %v %v %v", ts.pathKeys[t.PathID], ts.Path(t.PathID).ASNs, ts.TupleComms(t), ts.TupleVPs(t)))
+		lines = append(lines, fmt.Sprintf("t %x %v %v %v %v", ts.pathKeys[t.PathID], ts.Path(t.PathID).ASNs, ts.TupleComms(t), ts.TupleLarges(t), ts.TupleVPs(t)))
 	}
 	larges := make([]string, 0, len(ts.large))
 	for lc := range ts.large {
@@ -98,33 +120,39 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 }
 
 // TestShardedMergeMatchesSequential: the merged sharded store holds
-// exactly the tuples, paths, VPs and large communities of a sequential
-// TupleStore fed the same views, for several shard counts.
+// exactly the tuples (large-keyed ones included), paths, VPs and large
+// communities of a sequential TupleStore fed the same views, for
+// several shard counts.
 func TestShardedMergeMatchesSequential(t *testing.T) {
 	views := genViews(1, 5000)
 	seq := NewTupleStore()
 	for _, v := range views {
-		seq.AddView(v.vp, v.path, v.comms)
-		seq.NoteLarge(v.large)
+		addSynth(seq, v)
+	}
+	largeTuples := 0
+	for i := range seq.tuples {
+		if len(seq.TupleLarges(&seq.tuples[i])) > 0 {
+			largeTuples++
+		}
+	}
+	if largeTuples == 0 {
+		t.Fatal("fixture attaches no large communities to tuples")
 	}
 	for _, shards := range []int{1, 2, 7, 64} {
 		sts := NewShardedTupleStore(shards)
 		for _, v := range views {
-			sts.AddView(v.vp, v.path, v.comms)
-			sts.NoteLarge(v.large)
+			addSynth(sts, v)
 		}
 		if got, want := sts.Len(), seq.Len(); got != want {
 			t.Fatalf("shards=%d: Len=%d, want %d", shards, got, want)
 		}
-		// Odd shard counts exercise the deprecated Merge wrapper; the
-		// rest call Stitch directly with a worker count that differs
-		// from the shard count.
-		var merged *TupleStore
+		// Stitch with default parallelism and with a worker count that
+		// differs from the shard count.
+		workers := 3
 		if shards%2 == 1 {
-			merged = sts.Merge()
-		} else {
-			merged = sts.Stitch(3)
+			workers = 0
 		}
+		merged := sts.Stitch(workers)
 		if merged.PathCount() != seq.PathCount() {
 			t.Fatalf("shards=%d: PathCount=%d, want %d", shards, merged.PathCount(), seq.PathCount())
 		}
@@ -151,9 +179,7 @@ func TestShardedMergeDeterministic(t *testing.T) {
 				// Stripe the views so each goroutine interleaves over the
 				// whole range, maximizing cross-shard contention.
 				for i := w; i < len(views); i += writers {
-					v := views[i]
-					sts.AddView(v.vp, v.path, v.comms)
-					sts.NoteLarge(v.large)
+					addSynth(sts, views[i])
 				}
 			}(w)
 		}
@@ -180,9 +206,7 @@ func TestShardedStoreRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(views); i += 8 {
-				v := views[i]
-				sts.AddView(v.vp, v.path, v.comms)
-				sts.NoteLarge(v.large)
+				addSynth(sts, views[i])
 			}
 		}(w)
 	}

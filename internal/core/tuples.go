@@ -13,9 +13,10 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// span is an offset+length view into one of the store's shared arenas.
+// span is an offset+length view into one of the store's arenas.
 // Offsets are 32-bit: the paper-scale corpus (≈174M tuples) stays well
-// under 4G arena entries per store because ingestion shards first.
+// under 4G entries per arena because each distinct community list and
+// path is stored once.
 type span struct {
 	off, n uint32
 }
@@ -54,16 +55,14 @@ type Tuple struct {
 }
 
 // tupleKey is the fixed-size dedup key of one (path, communities,
-// large communities) tuple: the interned path ID plus a 64-bit hash of
-// each canonical community list. Tuples whose lists collide on the
-// hashes are disambiguated by comparing the lists themselves (a rare
-// overflow list holds the extra candidates), so the key is compact
-// without being lossy. Classic-only tuples carry largeHash 0, so their
-// keys are exactly the pre-large ones.
+// large communities) tuple: the interned path ID plus the exact intern
+// ref of each canonical community list, so equal keys mean equal tuples
+// and no content comparison is needed. Classic-only tuples carry
+// largeRef 0, the empty list's ref.
 type tupleKey struct {
-	pathID    int32
-	commsHash uint64
-	largeHash uint64
+	pathID   int32
+	commsRef uint64
+	largeRef uint64
 }
 
 // TupleStore interns AS paths and deduplicates (path, communities)
@@ -72,37 +71,27 @@ type tupleKey struct {
 //
 // Storage is columnar (struct-of-arrays): tuples are one flat []Tuple,
 // and their variable-length payloads — community lists, VP lists, path
-// ASN sequences, path org lists — are offset+length views into four
-// append-only arenas. The hot ingest path therefore allocates only
-// when an arena or the flat slice grows, not per tuple.
+// ASN sequences, path org lists — are offset+length views into arenas.
+// The hot ingest path therefore allocates only when an arena or the
+// flat slice grows, not per tuple.
 type TupleStore struct {
-	// shared, when non-nil, switches the store to shared-storage mode:
-	// community lists resolve through the cross-shard intern table and
-	// path ASN sequences live in the cross-shard arena, so spans are
-	// global and a ShardedTupleStore.Stitch moves no payload data. A
-	// plain NewTupleStore leaves it nil and keeps the local arenas.
+	// shared holds the community intern tables and the path ASN arena.
+	// A plain store owns its own; the shards of a ShardedTupleStore and
+	// their stitched output share one, so spans are global and Stitch
+	// moves no payload data.
 	shared *storeShared
 
 	paths    []pathMeta
-	asnArena []uint32 // all interned path ASN sequences (nil in shared mode)
 	orgArena []string // all path org lists (filled by AnnotateOrgs)
 	pathIDs  map[string]int32
 	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage)
 
-	tuples     []Tuple
-	commArena  []bgp.Community      // all tuple community lists (append-only; nil in shared mode)
-	largeArena []bgp.LargeCommunity // all tuple large-community lists (append-only; nil in shared mode)
-	vpArena    []uint32             // all tuple VP lists (relocating; see Tuple)
+	tuples  []Tuple
+	vpArena []uint32 // all tuple VP lists (relocating; see Tuple)
 
-	// tupleIdx maps a dedup key to its first tuple; tupleDup holds the
-	// (vanishingly rare) extra tuples whose communities collide on the
-	// hash, so the common case costs one map entry and zero slices. In
-	// shared mode the key's commsHash field carries the exact intern ref
-	// instead of a content hash, so collisions cannot happen and
-	// tupleDup stays empty. A stitched store leaves both nil; the first
-	// AddView rebuilds them (see reindex).
+	// tupleIdx maps a dedup key to its tuple. A stitched store leaves it
+	// nil; the first AddView rebuilds it (see reindex).
 	tupleIdx map[tupleKey]int32
-	tupleDup map[tupleKey][]int32
 
 	// large tracks the distinct large (96-bit) communities seen, for the
 	// corpus statistics. The paper records their prevalence (11,524 vs
@@ -113,9 +102,12 @@ type TupleStore struct {
 	large map[bgp.LargeCommunity]struct{}
 }
 
-// NewTupleStore returns an empty store.
-func NewTupleStore() *TupleStore {
+// NewTupleStore returns an empty store over its own shared storage.
+func NewTupleStore() *TupleStore { return newTupleStore(&storeShared{}) }
+
+func newTupleStore(shared *storeShared) *TupleStore {
 	return &TupleStore{
+		shared:   shared,
 		pathIDs:  make(map[string]int32),
 		tupleIdx: make(map[tupleKey]int32),
 		large:    make(map[bgp.LargeCommunity]struct{}),
@@ -157,7 +149,7 @@ type addScratch struct {
 	comms  bgp.Communities
 	larges bgp.LargeCommunities // large-community canonicalization buffer
 	flat   []uint32             // AS-path flattening buffer for AddViewASPath
-	asns   []uint32             // distinct-ASN buffer for shared-mode path interning
+	asns   []uint32             // distinct-ASN buffer for path interning
 }
 
 var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
@@ -183,19 +175,6 @@ func canonicalInto(dst, comms bgp.Communities) bgp.Communities {
 	return dst[:w]
 }
 
-// commsEqual reports whether two canonical community lists are equal.
-func commsEqual(a, b bgp.Communities) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // canonicalLargeInto writes the sorted, de-duplicated form of ls into
 // dst (reusing its capacity) and returns it — the large-community
 // sibling of canonicalInto.
@@ -216,51 +195,24 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 	return dst[:w]
 }
 
-// largesEqual reports whether two canonical large-community lists are
-// equal.
-func largesEqual(a, b bgp.LargeCommunities) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // internPathKey returns the path ID for a path whose binary key has
 // already been rendered, creating the entry if new. The key bytes are
 // only copied to a string on insertion; lookups are allocation-free.
-// The distinct-ASN sequence is appended to the store's ASN arena (AS
-// paths are short, so the dedup scan beats a map); in shared mode it
-// goes through pooled scratch into the cross-shard arena, so the
-// resulting span is globally addressed.
+// The distinct-ASN sequence (AS paths are short, so the dedup scan
+// beats a map) goes through pooled scratch into the shared ASN arena.
 func (ts *TupleStore) internPathKey(key []byte, path []uint32, sc *addScratch) int32 {
 	if id, ok := ts.pathIDs[string(key)]; ok {
 		return id
 	}
 	id := int32(len(ts.paths))
-	var asns span
-	if ts.shared != nil {
-		buf := sc.asns[:0]
-		for _, asn := range path {
-			if !containsASN(buf, asn) {
-				buf = append(buf, asn)
-			}
+	buf := sc.asns[:0]
+	for _, asn := range path {
+		if !containsASN(buf, asn) {
+			buf = append(buf, asn)
 		}
-		sc.asns = buf
-		asns = span{off: ts.shared.asns.append(buf), n: uint32(len(buf))}
-	} else {
-		off := uint32(len(ts.asnArena))
-		for _, asn := range path {
-			if !containsASN(ts.asnArena[off:], asn) {
-				ts.asnArena = append(ts.asnArena, asn)
-			}
-		}
-		asns = span{off: off, n: uint32(len(ts.asnArena)) - off}
 	}
+	sc.asns = buf
+	asns := span{off: ts.shared.asns.append(buf), n: uint32(len(buf))}
 	skey := string(key)
 	ts.paths = append(ts.paths, pathMeta{asns: asns})
 	ts.pathIDs[skey] = id
@@ -304,60 +256,23 @@ func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms b
 	}
 	id := ts.internPathKey(key, path, sc)
 	sc.comms = canonicalInto(sc.comms, comms)
-	canon := sc.comms
 	sc.larges = canonicalLargeInto(sc.larges, larges)
-	canonLarge := sc.larges
-	if ts.shared != nil {
-		// The intern refs are exact identities for the canonical lists, so
-		// the dedup key needs no content comparison and cannot collide.
-		ref := ts.shared.comms.intern(canon)
-		lref := ts.shared.larges.intern(canonLarge)
-		tk := tupleKey{pathID: id, commsHash: ref, largeHash: lref}
-		if ti, ok := ts.tupleIdx[tk]; ok {
-			ts.addVP(ti, vp)
-			return
-		}
-		ts.tupleIdx[tk] = int32(len(ts.tuples))
-		off, n := unpackRef(ref)
-		loff, ln := unpackRef(lref)
-		vpOff := uint32(len(ts.vpArena))
-		ts.vpArena = append(ts.vpArena, vp)
-		ts.tuples = append(ts.tuples, Tuple{
-			PathID: id,
-			comms:  span{off: off, n: n},
-			lcomms: span{off: loff, n: ln},
-			vpOff:  vpOff, vpLen: 1, vpCap: 1,
-		})
+	ref := ts.shared.comms.intern(sc.comms)
+	lref := ts.shared.larges.intern(sc.larges)
+	tk := tupleKey{pathID: id, commsRef: ref, largeRef: lref}
+	if ti, ok := ts.tupleIdx[tk]; ok {
+		ts.addVP(ti, vp)
 		return
 	}
-	tk := tupleKey{pathID: id, commsHash: hashComms(canon), largeHash: hashLarges(canonLarge)}
-	if ti, ok := ts.tupleIdx[tk]; ok {
-		if ts.addVPIfMatch(ti, canon, canonLarge, vp) {
-			return
-		}
-		for _, di := range ts.tupleDup[tk] {
-			if ts.addVPIfMatch(di, canon, canonLarge, vp) {
-				return
-			}
-		}
-		// Hash collision: distinct community lists under the same key.
-		if ts.tupleDup == nil {
-			ts.tupleDup = make(map[tupleKey][]int32)
-		}
-		ts.tupleDup[tk] = append(ts.tupleDup[tk], int32(len(ts.tuples)))
-	} else {
-		ts.tupleIdx[tk] = int32(len(ts.tuples))
-	}
-	commOff := uint32(len(ts.commArena))
-	ts.commArena = append(ts.commArena, canon...)
-	largeOff := uint32(len(ts.largeArena))
-	ts.largeArena = append(ts.largeArena, canonLarge...)
+	ts.tupleIdx[tk] = int32(len(ts.tuples))
+	off, n := unpackRef(ref)
+	loff, ln := unpackRef(lref)
 	vpOff := uint32(len(ts.vpArena))
 	ts.vpArena = append(ts.vpArena, vp)
 	ts.tuples = append(ts.tuples, Tuple{
 		PathID: id,
-		comms:  span{off: commOff, n: uint32(len(canon))},
-		lcomms: span{off: largeOff, n: uint32(len(canonLarge))},
+		comms:  span{off: off, n: n},
+		lcomms: span{off: loff, n: ln},
 		vpOff:  vpOff, vpLen: 1, vpCap: 1,
 	})
 }
@@ -374,45 +289,15 @@ func (ts *TupleStore) reindex() {
 	ts.tupleIdx = make(map[tupleKey]int32, len(ts.tuples))
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		var tk tupleKey
-		if ts.shared != nil {
-			tk = tupleKey{
-				pathID:    t.PathID,
-				commsHash: packRef(t.comms.off, t.comms.n),
-				largeHash: packRef(t.lcomms.off, t.lcomms.n),
-			}
-		} else {
-			tk = tupleKey{
-				pathID:    t.PathID,
-				commsHash: hashComms(ts.TupleComms(t)),
-				largeHash: hashLarges(ts.TupleLarges(t)),
-			}
-		}
-		if _, dup := ts.tupleIdx[tk]; dup {
-			if ts.tupleDup == nil {
-				ts.tupleDup = make(map[tupleKey][]int32)
-			}
-			ts.tupleDup[tk] = append(ts.tupleDup[tk], int32(i))
-		} else {
-			ts.tupleIdx[tk] = int32(i)
-		}
+		ts.tupleIdx[tupleKey{
+			pathID:   t.PathID,
+			commsRef: packRef(t.comms.off, t.comms.n),
+			largeRef: packRef(t.lcomms.off, t.lcomms.n),
+		}] = int32(i)
 	}
 	if ts.large == nil {
 		ts.large = make(map[bgp.LargeCommunity]struct{})
 	}
-}
-
-// addVPIfMatch merges vp into tuple ti if both of its community lists
-// equal the canonical candidates, reporting whether it did.
-func (ts *TupleStore) addVPIfMatch(ti int32, canon bgp.Communities, canonLarge bgp.LargeCommunities, vp uint32) bool {
-	if !commsEqual(ts.TupleComms(&ts.tuples[ti]), canon) {
-		return false
-	}
-	if !largesEqual(ts.TupleLarges(&ts.tuples[ti]), canonLarge) {
-		return false
-	}
-	ts.addVP(ti, vp)
-	return true
 }
 
 // addVP inserts vp into tuple ti's sorted VP list (no-op when present).
@@ -464,13 +349,9 @@ func (ts *TupleStore) Path(id int32) PathInfo {
 	}
 }
 
-// pathASNs resolves a path's distinct-ASN span against whichever arena
-// holds it (cross-shard in shared mode, local otherwise).
+// pathASNs resolves a path's distinct-ASN span in the shared arena.
 func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
-	if ts.shared != nil {
-		return ts.shared.asns.view(p.asns.off, p.asns.n)
-	}
-	return ts.asnArena[p.asns.off : p.asns.off+p.asns.n]
+	return ts.shared.asns.view(p.asns.off, p.asns.n)
 }
 
 // Tuples returns the flat tuple slice (shared storage; do not mutate).
@@ -478,25 +359,16 @@ func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
 // TupleComms returns a tuple's canonical community list (a view into
-// the community arena or the shared intern arena; do not mutate).
+// the shared intern arena; do not mutate).
 func (ts *TupleStore) TupleComms(t *Tuple) bgp.Communities {
-	if ts.shared != nil {
-		return ts.shared.comms.view(t.comms.off, t.comms.n)
-	}
-	return ts.commArena[t.comms.off : t.comms.off+t.comms.n]
+	return ts.shared.comms.view(t.comms.off, t.comms.n)
 }
 
 // TupleLarges returns a tuple's canonical large-community list (a view
-// into the large arena or the shared intern arena; do not mutate). Nil
-// for classic-only tuples.
+// into the shared intern arena; do not mutate). Nil for classic-only
+// tuples.
 func (ts *TupleStore) TupleLarges(t *Tuple) bgp.LargeCommunities {
-	if t.lcomms.n == 0 {
-		return nil
-	}
-	if ts.shared != nil {
-		return ts.shared.larges.view(t.lcomms.off, t.lcomms.n)
-	}
-	return ts.largeArena[t.lcomms.off : t.lcomms.off+t.lcomms.n]
+	return ts.shared.larges.view(t.lcomms.off, t.lcomms.n)
 }
 
 // TupleVPs returns a tuple's sorted distinct vantage points (a view
@@ -517,24 +389,14 @@ func (ts *TupleStore) VPSet() []uint32 {
 
 // Communities returns the distinct communities across all tuples, sorted.
 func (ts *TupleStore) Communities() []bgp.Community {
-	if ts.shared != nil {
-		// The shared intern arena holds every list seen by ANY store on
-		// the same storeShared, so walk this store's tuples instead.
-		n := 0
-		for i := range ts.tuples {
-			n += int(ts.tuples[i].comms.n)
-		}
-		out := make([]bgp.Community, 0, n)
-		for i := range ts.tuples {
-			out = append(out, ts.TupleComms(&ts.tuples[i])...)
-		}
-		slices.Sort(out)
-		return slices.Compact(out)
+	n := 0
+	for i := range ts.tuples {
+		n += int(ts.tuples[i].comms.n)
 	}
-	// The community arena is append-only with no dead regions, so it is
-	// exactly the concatenation of every tuple's list.
-	out := make([]bgp.Community, len(ts.commArena))
-	copy(out, ts.commArena)
+	out := make([]bgp.Community, 0, n)
+	for i := range ts.tuples {
+		out = append(out, ts.TupleComms(&ts.tuples[i])...)
+	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }

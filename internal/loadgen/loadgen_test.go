@@ -78,9 +78,7 @@ func TestHistQuantiles(t *testing.T) {
 // TestRunClosedLoop drives a local stub server and checks the report
 // plumbing end to end, including schema validation and RSS sampling.
 func TestRunClosedLoop(t *testing.T) {
-	var served int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served++
 		w.Write([]byte(`{"ok":true}`))
 	}))
 	defer ts.Close()
@@ -153,6 +151,29 @@ func TestRunOpenLoop(t *testing.T) {
 	// a runaway closed loop (which would do thousands).
 	if res.Requests > 400 {
 		t.Fatalf("open loop issued %d requests at rate 500 over 300ms — not paced", res.Requests)
+	}
+
+	// Far above what 4 workers can serve, every due arrival must still
+	// be accounted for: sent (Requests, which counts errors too) or
+	// dropped. Only the few in flight when the run ends may go uncounted.
+	const rate, d = 100000, 300 * time.Millisecond
+	res, err = Run(context.Background(), Config{
+		BaseURL:        ts.URL,
+		Paths:          []string{"/x"},
+		Mode:           ModeOpen,
+		Duration:       d,
+		Concurrency:    4,
+		Rate:           rate,
+		Seed:           1,
+		WarmupFraction: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	due := rate * d.Seconds()
+	if got := float64(res.Requests + res.DroppedSend); got < 0.95*due {
+		t.Fatalf("rate %d/s over %v: %d sent + %d dropped accounts for %.0f%% of %.0f due arrivals",
+			rate, d, res.Requests, res.DroppedSend, 100*got/due, due)
 	}
 }
 

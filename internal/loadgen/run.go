@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -98,7 +97,7 @@ type Result struct {
 	Errors      int64 // transport failures and non-2xx statuses
 	QPS         float64
 	Latency     *Hist // nanoseconds
-	DroppedSend int64 // open mode: arrivals skipped because all workers were busy
+	DroppedSend int64 // open mode: due arrivals not sent because all workers were busy
 }
 
 // pathPicker draws zipf-skewed path indexes deterministically.
@@ -202,12 +201,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}(i, w)
 		}
 	case ModeOpen:
-		// Arrivals are scheduled on a fixed cadence; workers pull them
-		// from a channel carrying the scheduled time, and latency runs
-		// from that schedule, so server slowness surfaces as queueing
-		// delay (no coordinated omission). A full channel means every
-		// worker is busy and the queue bound is exceeded: the arrival is
-		// counted as dropped rather than silently deferred.
+		// Arrival i is due at start + i/Rate; workers pull arrivals from
+		// a channel carrying the scheduled time, and latency runs from
+		// that schedule, so server slowness surfaces as queueing delay
+		// (no coordinated omission). On each wake the generator hands
+		// every arrival now due to a worker; a full channel means every
+		// worker is busy and the queue bound is exceeded, so the arrival
+		// is counted as dropped rather than silently deferred. Drops are
+		// counted over the same post-warmup window as Requests.
 		arrivals := make(chan time.Time, cfg.Concurrency)
 		for i, w := range workers {
 			wg.Add(1)
@@ -223,24 +224,53 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}(i, w)
 		}
-		interval := time.Duration(float64(time.Second) / cfg.Rate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
+		// The generator is in wg too: it counts drops until the run ends,
+		// and workers may return before it does.
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			defer close(arrivals)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
+			start := time.Now()
+			deadline, _ := ctx.Deadline()
+			due := func(i int64) time.Time {
+				return start.Add(time.Duration(float64(i) * float64(time.Second) / cfg.Rate))
+			}
+			drop := func(sched time.Time) {
+				if sched.After(recordAfter) {
+					dropped++ // read after wg.Wait; the generator is the only writer
+				}
+			}
+			timer := time.NewTimer(time.Hour)
+			timer.Stop()
+			for i := int64(0); ; i++ {
+				sched := due(i)
+				if !sched.Before(deadline) {
 					return
-				case sched := <-tick.C:
+				}
+				if wait := time.Until(sched); wait > 0 {
+					timer.Reset(wait)
 					select {
-					case arrivals <- sched:
-					default:
-						atomic.AddInt64(&dropped, 1)
+					case <-ctx.Done():
+					case <-timer.C:
 					}
+				}
+				if ctx.Err() != nil {
+					// Arrivals that fell due before the run ended but were
+					// never handed out are lost too.
+					end := time.Now()
+					if deadline.Before(end) {
+						end = deadline
+					}
+					for ; sched.Before(end); i++ {
+						drop(sched)
+						sched = due(i + 1)
+					}
+					return
+				}
+				select {
+				case arrivals <- sched:
+				default:
+					drop(sched)
 				}
 			}
 		}()

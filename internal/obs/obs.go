@@ -43,10 +43,6 @@ const (
 	// tuple store: index concatenation and ordering only, since shard
 	// payloads live in storage shared with the stitched store.
 	StageStitch Stage = "stitch"
-	// StageShardMerge is the pre-stitch name of that phase, when it
-	// copied every arena through one goroutine. No longer emitted; kept
-	// so trace consumers compiled against it keep building.
-	StageShardMerge Stage = "shard-merge"
 	// StageObserve is the CSR community→path index build plus on/off-path
 	// counting.
 	StageObserve Stage = "observe"

@@ -42,11 +42,15 @@ func getWorld(t *testing.T) *testWorld {
 		if err != nil {
 			panic(err)
 		}
-		w := &testWorld{
-			corpus: c,
-			resA:   c.Classify(bgpintent.Params{MinGap: 140, RatioThreshold: 1}),
-			resB:   c.Classify(bgpintent.Params{MinGap: 140, RatioThreshold: 1e9}),
+		resA, err := c.ClassifyContext(context.Background(), bgpintent.Params{MinGap: 140, RatioThreshold: 1})
+		if err != nil {
+			panic(err)
 		}
+		resB, err := c.ClassifyContext(context.Background(), bgpintent.Params{MinGap: 140, RatioThreshold: 1e9})
+		if err != nil {
+			panic(err)
+		}
+		w := &testWorld{corpus: c, resA: resA, resB: resB}
 		for _, lc := range w.resA.Labeled() {
 			if w.resB.Category(lc.Community) != lc.Category {
 				w.probe = lc.Community

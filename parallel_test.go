@@ -2,6 +2,7 @@ package bgpintent
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -78,11 +79,11 @@ func TestParallelLoadEquivalence(t *testing.T) {
 		tsv      []byte
 	}
 	run := func(workers int) outcome {
-		c, stats, err := LoadMRTCorpusOptions(ribs, updates, orgPath, LoadOptions{Parallelism: workers})
+		c, stats, err := LoadMRT(context.Background(), Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, LoadOptions{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		res := c.Classify(Params{Parallelism: workers})
+		res := mustClassify(t, c, Params{Parallelism: workers})
 		var buf bytes.Buffer
 		if err := res.WriteTSV(&buf); err != nil {
 			t.Fatal(err)
@@ -129,11 +130,11 @@ func TestParallelLoadEquivalence(t *testing.T) {
 // bugs that would split one tuple across shards.
 func TestParallelLoadMatchesSyntheticPath(t *testing.T) {
 	ribs, updates, orgPath := writeParallelFixture(t)
-	seq, _, err := LoadMRTCorpusOptions(ribs, updates, orgPath, LoadOptions{Parallelism: 1})
+	seq, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := LoadMRTCorpusOptions(ribs, updates, orgPath, LoadOptions{Parallelism: 4})
+	par, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, LoadOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
