@@ -250,11 +250,13 @@ func (os *ObservationSet) AlphaOnPath(alpha uint32) bool {
 // sequential; tiny inputs are not worth goroutine startup.
 const minParallelTuples = 4096
 
-// commIndex is a CSR (compressed-sparse-row) community→path index:
-// row r covers community comms[r], whose sorted unique path IDs are
-// paths[start[r]:start[r+1]].
+// commIndex is a CSR (compressed-sparse-row) key→path index: row r
+// covers key keys[r], whose sorted unique path IDs are
+// paths[start[r]:start[r+1]]. Rows ascend by key. The classic pass keys
+// rows by community; the large pass by a large community's rank in the
+// sorted distinct-large set, so both come out in community order.
 type commIndex struct {
-	comms []bgp.Community
+	keys  []uint32
 	start []int32
 	paths []int32
 }
@@ -264,25 +266,56 @@ type commIndex struct {
 // is noticed within microseconds, rare enough to cost nothing.
 const cancelCheckStride = 4096
 
+// pairSource tells buildCommIndex which keys a tuple carries: size is
+// an upper bound on their number, read without filtering, and emit
+// appends each one as key<<32|pid to dst.
+type pairSource struct {
+	size func(t *Tuple) int
+	emit func(dst []uint64, t *Tuple, pid uint64) []uint64
+}
+
 // buildCommIndex scans the tuples (honoring the VP filter) and returns
-// the CSR community→path index plus a bitset of the path IDs observed.
-// Each worker emits (community, pathID) pairs encoded as uint64 into a
-// private flat buffer and sorts it; the sorted runs are merged (with
-// deduplication) into one run that becomes the CSR rows. No maps, no
-// per-community slices — allocation is O(workers + rows), not O(pairs).
-// When done closes mid-build, workers stop early and the (partial)
-// result must be discarded by the caller.
-//
-// A non-nil dirty set restricts the index to communities whose α is in
-// it (the ClassifyDelta path); the observed-path bitset always covers
-// every tuple, because on-path exclusion evidence is global.
-func buildCommIndex(ts *TupleStore, opts Options, workers int, done <-chan struct{}, dirty map[uint16]bool) (commIndex, bitset) {
+// the CSR key→path index plus a bitset of the path IDs observed. It
+// runs in time linear in the (key, pathID) pairs: workers emit the
+// pairs of contiguous tuple ranges into one exactly sized buffer, a
+// stable radix sort orders them, and the CSR rows are cut from the
+// sorted run with duplicates dropped inline. When the store's path IDs
+// never decrease in tuple order — a stitched store is laid out in path
+// order — the pairs already ascend by path within each key, so only
+// the key bits are sorted. When done closes mid-build, workers stop
+// early and the (partial) result must be discarded by the caller.
+func buildCommIndex(ts *TupleStore, opts Options, workers int, done <-chan struct{}, src pairSource) (commIndex, bitset) {
 	tuples := ts.Tuples()
-	pathSeen := newBitset(ts.PathCount())
-	pairParts := make([][]uint64, workers)
+	workers = max(min(workers, len(tuples)), 1)
+	bounds := make([]int, workers+1)
+	for w := range bounds {
+		bounds[w] = w * len(tuples) / workers
+	}
+
+	// Size each worker's region of the pair buffer and check whether
+	// the path IDs ascend in tuple order.
+	offs := make([]int, workers+1)
+	ascending := make([]bool, workers)
+	ParallelFor(workers, workers, func(w int) {
+		n, asc := 0, true
+		for i := bounds[w]; i < bounds[w+1]; i++ {
+			n += src.size(&tuples[i])
+			asc = asc && (i == 0 || tuples[i].PathID >= tuples[i-1].PathID)
+		}
+		offs[w+1], ascending[w] = n, asc
+	})
+	pidsAscend := true
+	for w := 0; w < workers; w++ {
+		offs[w+1] += offs[w]
+		pidsAscend = pidsAscend && ascending[w]
+	}
+
+	pairs := make([]uint64, offs[workers])
+	ends := make([]int, workers)
 	seenParts := make([]bitset, workers)
-	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		pairs := make([]uint64, 0, 2*(hi-lo))
+	ParallelFor(workers, workers, func(w int) {
+		lo, hi := bounds[w], bounds[w+1]
+		dst := pairs[offs[w]:offs[w]:offs[w+1]]
 		seen := newBitset(ts.PathCount())
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
@@ -294,77 +327,121 @@ func buildCommIndex(ts *TupleStore, opts Options, workers int, done <-chan struc
 			}
 			pid := uint32(t.PathID)
 			seen.set(pid)
-			for _, c := range ts.TupleComms(t) {
-				if dirty != nil && !dirty[c.ASN()] {
-					continue
-				}
-				pairs = append(pairs, uint64(c)<<32|uint64(pid))
-			}
+			dst = src.emit(dst, t, uint64(pid))
 		}
-		slices.Sort(pairs)
-		pairParts[w] = slices.Compact(pairs)
+		ends[w] = offs[w] + len(dst)
 		seenParts[w] = seen
 	})
-	for _, p := range seenParts {
+	pathSeen := seenParts[0]
+	for _, p := range seenParts[1:] {
 		pathSeen.union(p)
 	}
-	merged := mergeSortedRuns(pairParts, workers)
-
-	var idx commIndex
-	idx.start = append(idx.start, 0)
-	for i, pair := range merged {
-		c := bgp.Community(pair >> 32)
-		if i == 0 || c != idx.comms[len(idx.comms)-1] {
-			idx.comms = append(idx.comms, c)
-			idx.start = append(idx.start, int32(len(idx.paths)))
-		}
-		idx.paths = append(idx.paths, int32(uint32(pair)))
-		idx.start[len(idx.start)-1] = int32(len(idx.paths))
+	if chClosed(done) {
+		return commIndex{}, pathSeen
 	}
-	return idx, pathSeen
+
+	// Close the gaps filtered tuples left between the workers' regions.
+	n := ends[0]
+	for w := 1; w < workers; w++ {
+		n += copy(pairs[n:], pairs[offs[w]:ends[w]])
+	}
+	pairs = pairs[:n]
+	lo := uint(0)
+	if pidsAscend {
+		lo = 32
+	}
+	return csrFromSorted(radixSort(pairs, make([]uint64, n), lo, workers), workers), pathSeen
 }
 
-// mergeSortedRuns merges sorted, deduplicated uint64 runs into one,
-// pairwise (so log₂(k) passes over the data, each pass merging pairs
-// concurrently on at most workers goroutines).
-func mergeSortedRuns(runs [][]uint64, workers int) []uint64 {
-	for len(runs) > 1 {
-		next := make([][]uint64, (len(runs)+1)/2)
-		ParallelFor(workers, len(next), func(i int) {
-			if 2*i+1 < len(runs) {
-				next[i] = mergeDedup(runs[2*i], runs[2*i+1])
-			} else {
-				next[i] = runs[2*i]
+// csrFromSorted cuts sorted key<<32|pid pairs into CSR rows, dropping
+// duplicate pairs. Workers take contiguous ranges whose boundaries are
+// moved forward to row starts, count their rows and unique pairs, and
+// then fill disjoint regions of the output.
+func csrFromSorted(pairs []uint64, workers int) commIndex {
+	p := max(min(workers, len(pairs)/minParallelTuples), 1)
+	bounds := make([]int, p+1)
+	for w := 1; w < p; w++ {
+		i := max(w*len(pairs)/p, bounds[w-1])
+		for i > 0 && i < len(pairs) && pairs[i]>>32 == pairs[i-1]>>32 {
+			i++
+		}
+		bounds[w] = i
+	}
+	bounds[p] = len(pairs)
+
+	// rowOff/pathOff hold each range's row and path counts, then their
+	// prefix sums.
+	rowOff := make([]int, p+1)
+	pathOff := make([]int, p+1)
+	ParallelFor(p, p, func(w int) {
+		rows, paths := 0, 0
+		for i := bounds[w]; i < bounds[w+1]; i++ {
+			if i == bounds[w] || pairs[i] != pairs[i-1] {
+				paths++
+				if i == bounds[w] || pairs[i]>>32 != pairs[i-1]>>32 {
+					rows++
+				}
 			}
-		})
-		runs = next
+		}
+		rowOff[w+1], pathOff[w+1] = rows, paths
+	})
+	for w := 0; w < p; w++ {
+		rowOff[w+1] += rowOff[w]
+		pathOff[w+1] += pathOff[w]
 	}
-	if len(runs) == 0 {
-		return nil
+	idx := commIndex{
+		keys:  make([]uint32, rowOff[p]),
+		start: make([]int32, rowOff[p]+1),
+		paths: make([]int32, pathOff[p]),
 	}
-	return runs[0]
+	ParallelFor(p, p, func(w int) {
+		r, k := rowOff[w], pathOff[w]
+		for i := bounds[w]; i < bounds[w+1]; i++ {
+			if i > bounds[w] && pairs[i] == pairs[i-1] {
+				continue
+			}
+			if i == bounds[w] || pairs[i]>>32 != pairs[i-1]>>32 {
+				idx.keys[r] = uint32(pairs[i] >> 32)
+				idx.start[r] = int32(k)
+				r++
+			}
+			idx.paths[k] = int32(uint32(pairs[i]))
+			k++
+		}
+	})
+	idx.start[rowOff[p]] = int32(pathOff[p])
+	return idx
 }
 
-// mergeDedup merges two sorted deduplicated runs into one.
-func mergeDedup(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// countRows counts, for every CSR row, the row's paths that carry the
+// row's α (or an org sibling of it) and those that do not, and hands
+// them to record; alphaOf maps a row key to its α. Rows are sorted and
+// deduplicated, so each worker walks a contiguous row range and record
+// calls for different rows may run concurrently.
+func countRows(ts *TupleStore, idx commIndex, opts Options, workers int, done <-chan struct{}, alphaOf func(key uint32) uint32, record func(r, on, off int)) {
+	parallelRanges(workers, len(idx.keys), func(w, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if (r-lo)%cancelCheckStride == 0 && chClosed(done) {
+				return
+			}
+			alpha := alphaOf(idx.keys[r])
+			var alphaOrg string
+			var haveOrg bool
+			if opts.Orgs != nil {
+				alphaOrg, haveOrg = opts.Orgs.Org(alpha)
+			}
+			on, off := 0, 0
+			for _, id := range idx.paths[idx.start[r]:idx.start[r+1]] {
+				info := ts.Path(id)
+				if containsASN(info.ASNs, alpha) || haveOrg && containsOrg(info.Orgs, alphaOrg) {
+					on++
+				} else {
+					off++
+				}
+			}
+			record(r, on, off)
 		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	})
 }
 
 // bitset is a fixed-size bitmap over dense IDs (path IDs here).
@@ -432,8 +509,21 @@ func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16
 
 	// Pass 1: build the CSR community→path index and the observed-path
 	// bitset, then derive the on-path ASN/org sets from the distinct
-	// observed paths (each path visited exactly once).
-	idx, pathSeen := buildCommIndex(ts, opts, workers, done, dirty)
+	// observed paths (each path visited exactly once). A non-nil dirty
+	// set restricts the index to communities whose α is in it (the
+	// ClassifyDelta path); the bitset always covers every tuple, because
+	// on-path exclusion evidence is global.
+	idx, pathSeen := buildCommIndex(ts, opts, workers, done, pairSource{
+		size: func(t *Tuple) int { return int(t.comms.n) },
+		emit: func(dst []uint64, t *Tuple, pid uint64) []uint64 {
+			for _, c := range ts.TupleComms(t) {
+				if dirty == nil || dirty[c.ASN()] {
+					dst = append(dst, uint64(c)<<32|pid)
+				}
+			}
+			return dst
+		},
+	})
 	if chClosed(done) {
 		return nil, ctx.Err()
 	}
@@ -453,45 +543,19 @@ func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16
 		}
 	}
 
-	// Pass 2: count unique on/off-path appearances per community. CSR
-	// rows are already sorted and deduplicated, so each worker walks its
-	// contiguous row range writing into a disjoint slice region — no
-	// per-community sorting and no map merging.
-	statsArr := make([]CommunityStats, len(idx.comms))
-	parallelRanges(workers, len(idx.comms), func(w, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			if (r-lo)%cancelCheckStride == 0 && chClosed(done) {
-				return
-			}
-			c := idx.comms[r]
-			alpha := uint32(c.ASN())
-			var alphaOrg string
-			var haveOrg bool
-			if opts.Orgs != nil {
-				alphaOrg, haveOrg = opts.Orgs.Org(alpha)
-			}
-			st := CommunityStats{Comm: c}
-			for _, id := range idx.paths[idx.start[r]:idx.start[r+1]] {
-				info := ts.Path(id)
-				on := containsASN(info.ASNs, alpha)
-				if !on && haveOrg {
-					on = containsOrg(info.Orgs, alphaOrg)
-				}
-				if on {
-					st.OnPath++
-				} else {
-					st.OffPath++
-				}
-			}
-			statsArr[r] = st
-		}
-	})
+	// Pass 2: count unique on/off-path appearances per community.
+	statsArr := make([]CommunityStats, len(idx.keys))
+	countRows(ts, idx, opts, workers, done,
+		func(key uint32) uint32 { return uint32(bgp.Community(key).ASN()) },
+		func(r, on, off int) {
+			statsArr[r] = CommunityStats{Comm: bgp.Community(idx.keys[r]), OnPath: on, OffPath: off}
+		})
 	if chClosed(done) {
 		return nil, ctx.Err()
 	}
-	os.Stats = make(map[bgp.Community]*CommunityStats, len(idx.comms))
-	for r := range idx.comms {
-		os.Stats[idx.comms[r]] = &statsArr[r]
+	os.Stats = make(map[bgp.Community]*CommunityStats, len(statsArr))
+	for r := range statsArr {
+		os.Stats[statsArr[r].Comm] = &statsArr[r]
 	}
 
 	// Pass 3 (large communities): only when some tuple carries them,

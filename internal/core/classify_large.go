@@ -10,7 +10,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"bgpintent/internal/bgp"
@@ -215,88 +214,74 @@ func (ts *TupleStore) hasLargeTuples() bool {
 	return ts.shared.larges.table.Load() != nil
 }
 
-// largePair is one (large community, path ID) observation; the large
-// triple does not pack into a uint64, so the large index sorts structs
-// instead of packed integers. Large volume is a fraction of classic
-// volume in every corpus we load, so the extra comparator cost is
-// negligible.
-type largePair struct {
-	lc  bgp.LargeCommunity
-	pid int32
-}
-
-func compareLargePair(a, b largePair) int {
-	if c := a.lc.Compare(b.lc); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pid, b.pid)
-}
-
 // observeLarges computes per-large-community on/off-path statistics
 // over unique AS paths into os.LargeStats, honoring the VP filter and
-// sibling awareness. Deterministic for every worker count: workers
-// collect (large, path) pairs over disjoint tuple ranges; the merged
-// pair set is order-independent after the global sort.
+// sibling awareness. It runs on the classic pass's index builder: a
+// large community's key is its rank in the sorted distinct-large set
+// the store keeps, so the rows come out in LargeCommunity order and
+// the result is the same for every worker count.
 func observeLarges(ts *TupleStore, opts Options, os *ObservationSet, workers int, done <-chan struct{}) {
-	tuples := ts.Tuples()
-	parts := make([][]largePair, workers)
-	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		var pairs []largePair
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
-				break
+	ls := sortedLarges(ts.large, workers)
+	rank := make(map[bgp.LargeCommunity]uint32, len(ls))
+	for i, lc := range ls {
+		rank[lc] = uint32(i)
+	}
+	idx, _ := buildCommIndex(ts, opts, workers, done, pairSource{
+		size: func(t *Tuple) int { return int(t.lcomms.n) },
+		emit: func(dst []uint64, t *Tuple, pid uint64) []uint64 {
+			for _, lc := range ts.TupleLarges(t) {
+				r, ok := rank[lc]
+				if !ok {
+					panic("core: tuple large community missing from the distinct-large set")
+				}
+				dst = append(dst, uint64(r)<<32|pid)
 			}
-			t := &tuples[i]
-			larges := ts.TupleLarges(t)
-			if len(larges) == 0 {
-				continue
-			}
-			if opts.VPFilter != nil && !anyVP(ts.TupleVPs(t), opts.VPFilter) {
-				continue
-			}
-			for _, lc := range larges {
-				pairs = append(pairs, largePair{lc: lc, pid: t.PathID})
-			}
-		}
-		parts[w] = pairs
+			return dst
+		},
 	})
 	if chClosed(done) {
 		return
 	}
-	var all []largePair
-	for _, p := range parts {
-		all = append(all, p...)
+	stats := make([]LargeStats, len(idx.keys))
+	countRows(ts, idx, opts, workers, done,
+		func(key uint32) uint32 { return ls[key].GlobalAdmin },
+		func(r, on, off int) {
+			stats[r] = LargeStats{Comm: ls[idx.keys[r]], OnPath: on, OffPath: off}
+		})
+	os.LargeStats = make(map[bgp.LargeCommunity]*LargeStats, len(stats))
+	for r := range stats {
+		os.LargeStats[stats[r].Comm] = &stats[r]
 	}
-	slices.SortFunc(all, compareLargePair)
-	all = slices.Compact(all)
+}
 
-	os.LargeStats = make(map[bgp.LargeCommunity]*LargeStats)
-	for i := 0; i < len(all); {
-		if chClosed(done) {
-			return
-		}
-		lc := all[i].lc
-		alpha := lc.GlobalAdmin
-		var alphaOrg string
-		var haveOrg bool
-		if opts.Orgs != nil {
-			alphaOrg, haveOrg = opts.Orgs.Org(alpha)
-		}
-		st := &LargeStats{Comm: lc}
-		for ; i < len(all) && all[i].lc == lc; i++ {
-			info := ts.Path(all[i].pid)
-			on := containsASN(info.ASNs, alpha)
-			if !on && haveOrg {
-				on = containsOrg(info.Orgs, alphaOrg)
-			}
-			if on {
-				st.OnPath++
-			} else {
-				st.OffPath++
-			}
-		}
-		os.LargeStats[lc] = st
+// sortedLarges returns the large communities of set in LargeCommunity
+// order without a comparison sort: three stable radix passes order
+// field<<32|index keys by LocalData2, then LocalData1, then
+// GlobalAdmin, each carrying the order the previous one left.
+func sortedLarges(set map[bgp.LargeCommunity]struct{}, workers int) []bgp.LargeCommunity {
+	ls := make([]bgp.LargeCommunity, 0, len(set))
+	for lc := range set {
+		ls = append(ls, lc)
 	}
+	keys := make([]uint64, len(ls))
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for _, field := range [...]func(bgp.LargeCommunity) uint32{
+		func(lc bgp.LargeCommunity) uint32 { return lc.LocalData2 },
+		func(lc bgp.LargeCommunity) uint32 { return lc.LocalData1 },
+		func(lc bgp.LargeCommunity) uint32 { return lc.GlobalAdmin },
+	} {
+		for i, k := range keys {
+			keys[i] = uint64(field(ls[uint32(k)]))<<32 | uint64(uint32(k))
+		}
+		keys = radixSort(keys, make([]uint64, len(keys)), 32, workers)
+	}
+	out := make([]bgp.LargeCommunity, len(ls))
+	for i, k := range keys {
+		out[i] = ls[uint32(k)]
+	}
+	return out
 }
 
 // excludedLarge is one large exclusion decision with the stats that

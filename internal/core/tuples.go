@@ -377,17 +377,29 @@ func (ts *TupleStore) TupleVPs(t *Tuple) []uint32 {
 	return ts.vpArena[t.vpOff : t.vpOff+t.vpLen]
 }
 
-// VPSet returns the distinct vantage points across all tuples.
+// VPSet returns the distinct vantage points across all tuples, sorted.
+// VPs number in the dozens, so they go into a small sorted set rather
+// than through a sort of every tuple's list; runs of tuples seen by the
+// same VP take the repeat check and skip the search.
 func (ts *TupleStore) VPSet() []uint32 {
 	out := make([]uint32, 0, 64)
+	var last uint32
 	for i := range ts.tuples {
-		out = append(out, ts.TupleVPs(&ts.tuples[i])...)
+		for _, vp := range ts.TupleVPs(&ts.tuples[i]) {
+			if len(out) > 0 && vp == last {
+				continue
+			}
+			last = vp
+			if pos, found := slices.BinarySearch(out, vp); !found {
+				out = slices.Insert(out, pos, vp)
+			}
+		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
-// Communities returns the distinct communities across all tuples, sorted.
+// Communities returns the distinct communities across all tuples,
+// sorted, by a radix sort of every tuple's list.
 func (ts *TupleStore) Communities() []bgp.Community {
 	n := 0
 	for i := range ts.tuples {
@@ -397,7 +409,7 @@ func (ts *TupleStore) Communities() []bgp.Community {
 	for i := range ts.tuples {
 		out = append(out, ts.TupleComms(&ts.tuples[i])...)
 	}
-	slices.Sort(out)
+	out = radixSort(out, make([]bgp.Community, n), 0, ResolveWorkers(0))
 	return slices.Compact(out)
 }
 

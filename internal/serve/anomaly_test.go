@@ -36,7 +36,7 @@ func (a engineSource) Stamp() uint64 { return a.eng.Stamp() }
 
 // feedSpike drives the engine through a baseline and one burst so at
 // least one spike finding exists.
-func feedSpike(t *testing.T, eng *anomaly.Engine) {
+func feedSpike(t testing.TB, eng *anomaly.Engine) {
 	t.Helper()
 	c := bgp.NewCommunity(100, 666)
 	eng.SetSemantics(&staticSem{c: c, cat: dict.CatAction})
